@@ -111,7 +111,7 @@ inline double bench_scale() {
 
 /// Ingest options for benches that load datasets from disk. Defaults to
 /// the parallel mmap engine at hardware concurrency; override the worker
-/// count with FAILMINE_INGEST_THREADS=<N> (1 = serial reader).
+/// count with FAILMINE_INGEST_THREADS=<N> (1 = parsed inline, no pool).
 inline ingest::LoadOptions ingest_options() {
   ingest::LoadOptions options;
   if (const char* env = std::getenv("FAILMINE_INGEST_THREADS")) {

@@ -61,7 +61,7 @@
 // Global loading options (any subcommand reading --data DIR):
 //   --ingest-threads N   worker threads for the parallel mmap CSV ingest
 //                        engine (0 = hardware concurrency, the default;
-//                        1 = the serial line-oriented reader)
+//                        1 = one chunk, parsed on the calling thread)
 //
 // Global observability options (any subcommand):
 //   --log-level debug|info|warn|error|off   stderr log threshold

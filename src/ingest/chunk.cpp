@@ -65,4 +65,20 @@ std::vector<Chunk> plan_chunks(std::string_view data,
   return chunks;
 }
 
+std::size_t CsvCursor::quoted_record_end(std::size_t quote) const {
+  // Nothing before `quote` is a quote or a newline, so the state machine
+  // starts there, outside quotes.
+  bool in_quotes = false;
+  std::size_t i = quote;
+  while (i < data_.size()) {
+    const char c = data_[i];
+    if (c == '"')
+      in_quotes = !in_quotes;
+    else if (c == '\n' && !in_quotes)
+      break;
+    ++i;
+  }
+  return i;
+}
+
 }  // namespace failmine::ingest

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -56,27 +57,35 @@ class CsvCursor {
   /// the record's text without its line terminator. A record whose
   /// quotes never close runs to the end of the chunk (split_csv_fields
   /// then reports the unterminated quote).
+  ///
+  /// A record with no '"' ends at the first '\n', found with memchr; only
+  /// records that contain a quote take the byte-wise quote state machine.
   bool next(std::string_view& record) {
     if (pos_ >= data_.size()) return false;
     const std::size_t start = pos_;
-    bool in_quotes = false;
-    std::size_t i = pos_;
-    while (i < data_.size()) {
-      const char c = data_[i];
-      if (c == '"')
-        in_quotes = !in_quotes;
-      else if (c == '\n' && !in_quotes)
-        break;
-      ++i;
-    }
-    std::size_t end = i;
-    pos_ = i < data_.size() ? i + 1 : i;  // consume the '\n', if any
+    std::size_t end = find(start, data_.size(), '\n');
+    const std::size_t quote = find(start, end, '"');
+    if (quote < end) end = quoted_record_end(quote);
+    pos_ = end < data_.size() ? end + 1 : end;  // consume the '\n', if any
     if (end > start && data_[end - 1] == '\r') --end;
     record = data_.substr(start, end - start);
     return true;
   }
 
  private:
+  /// Offset of the first `c` in [from, to), or `to` if there is none.
+  std::size_t find(std::size_t from, std::size_t to, char c) const {
+    const void* hit = std::memchr(data_.data() + from, c, to - from);
+    return hit != nullptr
+               ? static_cast<std::size_t>(static_cast<const char*>(hit) -
+                                          data_.data())
+               : to;
+  }
+
+  /// Offset of the record-terminating '\n' (or the chunk end) for a
+  /// record whose first quote byte is at `quote`.
+  std::size_t quoted_record_end(std::size_t quote) const;
+
   std::string_view data_;
   std::size_t pos_ = 0;
 };

@@ -16,12 +16,6 @@ unsigned effective_threads(const LoadOptions& options) {
   return hw == 0 ? 1 : hw;
 }
 
-bool use_serial_reader(const LoadOptions& options, Engine engine) {
-  if (engine == Engine::kSerial) return true;
-  if (engine == Engine::kMapped) return false;
-  return options.threads == 1;
-}
-
 namespace detail {
 
 LoadPlan open_and_plan(const std::string& path,
@@ -32,14 +26,13 @@ LoadPlan open_and_plan(const std::string& path,
   const std::string_view content = plan.file.view();
   if (content.empty()) throw ParseError("empty CSV file: " + path);
 
-  // Header line: same parse as the serial reader (getline + CR strip +
-  // split_csv_line), expressed through the cursor.
+  // Header line: CR stripped, split by split_csv_line (as CsvReader
+  // does), found through the cursor.
   CsvCursor header_cursor(content);
   std::string_view header_line;
   header_cursor.next(header_line);
   // A header whose quotes never close swallows the whole file in one
-  // "record"; split_csv_line then reports the unterminated quote, like
-  // the serial reader does for the first line.
+  // "record"; split_csv_line then reports the unterminated quote.
   plan.header = util::split_csv_line(header_line);
   if (plan.header != expected_header)
     throw ParseError("unexpected " + header_label + " header in " + path);
@@ -55,10 +48,14 @@ LoadPlan open_and_plan(const std::string& path,
   if (skip < content.size() && content[skip] == '\n') ++skip;
   plan.body = content.substr(skip);
 
+  // One worker gains nothing from extra chunks, and one chunk needs no
+  // merge copy.
+  const unsigned threads = effective_threads(options);
   plan.chunks = plan_chunks(
       plan.body,
-      effective_threads(options) *
-          std::max<std::size_t>(1, options.chunks_per_thread),
+      threads == 1 ? 1
+                   : threads * std::max<std::size_t>(
+                                   1, options.chunks_per_thread),
       std::max<std::size_t>(1, options.min_chunk_bytes));
 
   obs::MetricsRegistry& registry = obs::metrics();
@@ -119,7 +116,7 @@ void flush_success(const char* records_counter, std::size_t rows) {
                                  std::size_t rows_before,
                                  const RowFailure& failure) {
   const std::size_t global_row = rows_before + failure.local_row;
-  // The serial reader counts the bad row in lines_total (it was read),
+  // The bad row counts in lines_total (it was read),
   // leaves it out of the per-source records counter (it never parsed),
   // and counts one rejection.
   obs::MetricsRegistry& registry = obs::metrics();
@@ -128,7 +125,7 @@ void flush_success(const char* records_counter, std::size_t rows) {
   registry.counter("parse.lines_rejected").add();
 
   // Rows are reported 1-based counting the header: data row r is file
-  // row r + 1 — the numbering CsvReader and the serial loaders use.
+  // row r + 1 — the numbering CsvReader uses.
   const std::size_t reported_row = global_row + 1;
   switch (failure.kind) {
     case RowFailure::Kind::kQuote:

@@ -1,27 +1,30 @@
 // failmine/ingest/loader.hpp
 //
-// Parallel, zero-copy batch CSV loader shared by the four log libraries.
+// Parallel, zero-copy batch CSV loader shared by the four log libraries:
+// the only batch CSV reader they have, at any thread count.
 //
 // load_csv mmaps the file (ingest/mapped_file.hpp), splits the body into
-// ~threads×4 record-aligned chunks (ingest/chunk.hpp) and parses the
-// chunks concurrently: each worker walks its chunk with a CsvCursor,
-// splits records through the allocation-free util::split_csv_fields
-// fast path, and appends parsed records to a chunk-local vector. Workers
-// touch no shared state while parsing — row counters accumulate as local
-// deltas and are flushed to the obs metrics registry exactly once per
-// load, and WARN diagnostics for rejected rows are deferred to the merge
-// so they carry correct global row numbers. Results are concatenated in
-// chunk order, which makes the output — records, metric deltas, WARN
-// records and the thrown error on malformed input — byte-for-byte
-// identical to the serial util::CsvReader path.
+// ~threads×4 record-aligned chunks (ingest/chunk.hpp; one chunk at one
+// thread) and parses the chunks concurrently: each worker walks its
+// chunk with a CsvCursor, splits records through the allocation-free
+// util::split_csv_fields fast path, and parses each record in place at
+// the end of a chunk-local vector. Workers touch no shared state while
+// parsing — row counters accumulate as local deltas and are flushed to
+// the obs metrics registry exactly once per load, and WARN diagnostics
+// for rejected rows are deferred to the merge so they carry correct
+// global row numbers. Results are concatenated in chunk order; a
+// single-chunk load returns its vector as is.
 //
 // Determinism guarantee: for any thread count and either I/O engine
-// (mmap or the read() fallback), load_csv returns exactly the record
-// sequence the serial reader produces, performs the same parse.* counter
-// increments, and on malformed input throws the same exception after the
-// same WARN log record. The only nondeterminism parallelism introduces —
-// which worker parses which chunk first — is erased by the ordered merge
-// and the deferred diagnostics.
+// (mmap or the read() fallback), load_csv returns the same record
+// sequence, performs the same parse.* counter increments, and on
+// malformed input throws the same exception after the same WARN log
+// record. These match what a line-at-a-time reader (util::CsvReader,
+// kept as the test oracle) sees on files without quoted newlines. The
+// only nondeterminism parallelism introduces — which worker parses which
+// chunk first — is erased by the ordered merge and the deferred
+// diagnostics. At one thread no pool is spawned: the chunk is parsed
+// inline on the caller.
 //
 // Instrumentation: ingest.bytes_mapped / ingest.chunks counters, an
 // "ingest.load" span per file and an "ingest.chunk" span per chunk (on
@@ -32,12 +35,14 @@
 // rows into a caller-supplied accumulator (the columnar builders use
 // this to parse straight into column vectors with no intermediate
 // record vector), while load_csv itself is the Acc = std::vector<Record>
-// instance of the fold.
+// instance of the fold. for_each_csv is the same walk over one chunk on
+// the caller's thread, handing each row to a callback that may stop it.
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <iterator>
@@ -55,13 +60,12 @@ namespace failmine::ingest {
 
 /// Knobs for one batch load.
 struct LoadOptions {
-  /// Worker threads. 0 = std::thread::hardware_concurrency(). Setting 1
-  /// (with engine kAuto) selects today's serial std::getline reader in
-  /// the log libraries' read_csv; the ingest engine itself also runs
-  /// fine at 1 thread (no pool is spawned).
+  /// Worker threads. 0 = std::thread::hardware_concurrency(). At 1 the
+  /// whole body is one chunk, parsed inline on the calling thread.
   unsigned threads = 0;
 
-  /// Chunks per worker thread; >1 smooths imbalance between chunks.
+  /// Chunks per worker thread when threads > 1; >1 smooths imbalance
+  /// between chunks.
   std::size_t chunks_per_thread = 4;
 
   /// Floor on the chunk size; small files get proportionally fewer
@@ -73,19 +77,8 @@ struct LoadOptions {
   bool force_stream = false;
 };
 
-/// How a log library's read_csv picks its implementation.
-enum class Engine {
-  kAuto,    ///< serial reader iff threads == 1, ingest engine otherwise
-  kSerial,  ///< always the line-oriented util::CsvReader path
-  kMapped,  ///< always the ingest engine, whatever the thread count
-};
-
 /// Resolves LoadOptions::threads (0 → hardware concurrency, min 1).
 unsigned effective_threads(const LoadOptions& options);
-
-/// True when `read_csv(options, engine)` should take the legacy serial
-/// path: an explicit Engine::kSerial, or kAuto with exactly one thread.
-bool use_serial_reader(const LoadOptions& options, Engine engine);
 
 namespace detail {
 
@@ -122,8 +115,8 @@ struct LoadPlan {
 };
 
 /// Opens `path`, validates the header against `expected_header` (the
-/// mismatch error says "unexpected <header_label> header in <path>",
-/// matching the serial loaders) and plans the chunks. Flushes the
+/// mismatch error says "unexpected <header_label> header in <path>")
+/// and plans the chunks. Flushes the
 /// ingest.bytes_mapped / ingest.chunks counters.
 LoadPlan open_and_plan(const std::string& path,
                        const std::vector<std::string>& expected_header,
@@ -135,13 +128,69 @@ LoadPlan open_and_plan(const std::string& path,
 void run_parallel(std::size_t n_tasks, unsigned threads,
                   const std::function<void(std::size_t)>& fn);
 
+/// Walks the records of `data` in order: splits each into fields, checks
+/// its arity, then calls `parse(fields)` and, if that returned normally,
+/// `more()`; a false `more()` stops the walk. The first rejected record
+/// — unterminated quote, wrong arity, or failmine::Error from `parse` —
+/// is recorded in `st` and ends the walk. Exceptions from `more` pass
+/// through untouched.
+template <class ParseFn, class MoreFn>
+void scan_records(std::string_view data, std::size_t arity, ChunkStats& st,
+                  ParseFn&& parse, MoreFn&& more) {
+  util::FieldVec fields;
+  CsvCursor cursor(data);
+  std::string_view record;
+  while (cursor.next(record)) {
+    ++st.rows;
+    st.failure.local_row = st.rows;
+    try {
+      util::split_csv_fields(record, fields);
+    } catch (const failmine::ParseError&) {
+      st.failed = true;
+      st.failure.kind = RowFailure::Kind::kQuote;
+      st.failure.exception = std::current_exception();
+      return;
+    }
+    if (fields.size() != arity) {
+      st.failed = true;
+      st.failure.kind = RowFailure::Kind::kArity;
+      st.failure.fields = fields.size();
+      return;
+    }
+    try {
+      parse(fields);
+    } catch (const failmine::Error& e) {
+      st.failed = true;
+      st.failure.kind = RowFailure::Kind::kRecord;
+      st.failure.what = e.what();
+      st.failure.exception = std::current_exception();
+      return;
+    }
+    if (!more()) return;
+  }
+}
+
+/// Upper bound on the records in `data`: one per '\n', plus a final
+/// record with no terminator. Exact unless quoted fields hold newlines.
+inline std::size_t max_records(std::string_view data) {
+  std::size_t n = 0;
+  const char* p = data.data();
+  const char* const end = p + data.size();
+  while (const void* nl =
+             std::memchr(p, '\n', static_cast<std::size_t>(end - p))) {
+    ++n;
+    p = static_cast<const char*>(nl) + 1;
+  }
+  return n + (p != end ? 1 : 0);
+}
+
 /// Success-path metric flush: parse.lines_total and `records_counter`
 /// advance by `rows` in one add each.
 void flush_success(const char* records_counter, std::size_t rows);
 
-/// Failure path: flushes the counters the serial reader would have
+/// Failure path: flushes the counters a line-at-a-time reader would have
 /// touched before dying (lines_total/records up to the bad row, one
-/// lines_rejected), emits the serial reader's WARN record verbatim, and
+/// lines_rejected), emits one WARN record naming the file row, and
 /// throws — the stored exception for quote/record failures, a
 /// reconstructed ParseError (with the global row number) for arity
 /// failures.
@@ -159,7 +208,9 @@ void flush_success(const char* records_counter, std::size_t rows);
 /// fields)` — invoked concurrently across chunks but sequentially, in
 /// file order, within one chunk. `row_fn` must be thread-safe across
 /// distinct accumulators and should throw failmine::Error for invalid
-/// rows. Returns the accumulators in chunk (= file) order.
+/// rows. An accumulator with a reserve(n) member is reserved, on the
+/// worker, for the chunk's record count (max_records) before its first
+/// row. Returns the accumulators in chunk (= file) order.
 ///
 /// This is load_csv with the "what happens per row" swapped out: header
 /// validation, chunk planning, the allocation-free field splitter, the
@@ -186,49 +237,25 @@ std::vector<Acc> load_csv_fold(const std::string& path,
     results.push_back(make_acc());
   std::vector<detail::ChunkStats> stats(plan.chunks.size());
   // Index of the first chunk that rejected a row: chunks after it would
-  // never have been read by the serial reader, so workers past it stop
+  // never be read by an in-order reader, so workers past it stop
   // early (their partial output is discarded by the merge anyway).
   std::atomic<std::size_t> first_failed{plan.chunks.size()};
 
   detail::run_parallel(
       plan.chunks.size(), effective_threads(options), [&](std::size_t ci) {
         FAILMINE_TRACE_SPAN("ingest.chunk");
-        const Chunk& chunk = plan.chunks[ci];
         Acc& out = results[ci];
         detail::ChunkStats& st = stats[ci];
-        util::FieldVec fields;
-        CsvCursor cursor(chunk.data);
-        std::string_view record;
-        while (cursor.next(record)) {
-          if (ci > first_failed.load(std::memory_order_relaxed)) return;
-          ++st.rows;
-          try {
-            util::split_csv_fields(record, fields);
-          } catch (const failmine::ParseError&) {
-            st.failed = true;
-            st.failure.kind = detail::RowFailure::Kind::kQuote;
-            st.failure.local_row = st.rows;
-            st.failure.exception = std::current_exception();
-            break;
-          }
-          if (fields.size() != arity) {
-            st.failed = true;
-            st.failure.kind = detail::RowFailure::Kind::kArity;
-            st.failure.local_row = st.rows;
-            st.failure.fields = fields.size();
-            break;
-          }
-          try {
-            row_fn(out, fields);
-          } catch (const failmine::Error& e) {
-            st.failed = true;
-            st.failure.kind = detail::RowFailure::Kind::kRecord;
-            st.failure.local_row = st.rows;
-            st.failure.what = e.what();
-            st.failure.exception = std::current_exception();
-            break;
-          }
-        }
+        // Sized once per chunk, an accumulator never regrows (and copies)
+        // its records mid-parse.
+        if constexpr (requires { out.reserve(std::size_t{}); })
+          out.reserve(detail::max_records(plan.chunks[ci].data));
+        detail::scan_records(
+            plan.chunks[ci].data, arity, st,
+            [&](const util::FieldVec& fields) { row_fn(out, fields); },
+            [&] {
+              return ci <= first_failed.load(std::memory_order_relaxed);
+            });
         if (st.failed) {
           std::size_t expected = first_failed.load(std::memory_order_relaxed);
           while (ci < expected &&
@@ -240,7 +267,7 @@ std::vector<Acc> load_csv_fold(const std::string& path,
 
   // The first failed chunk (in file order) wins; everything before it
   // contributed rows, everything after it is discarded — exactly the
-  // serial reader's view of the file.
+  // in-order reader's view of the file.
   std::size_t rows_before = 0;
   for (std::size_t ci = 0; ci < plan.chunks.size(); ++ci) {
     if (stats[ci].failed)
@@ -252,11 +279,12 @@ std::vector<Acc> load_csv_fold(const std::string& path,
   return results;
 }
 
-/// Parallel batch load: parses every record of `path` through `parse`
-/// (a callable `Record(const util::FieldVec&)` invoked concurrently from
-/// worker threads; it must be thread-safe and should throw
-/// failmine::Error for invalid records) and returns the records in file
-/// order. See the file comment for the determinism guarantee.
+/// Parallel batch load: parses every record of `path` in place through
+/// `parse` (a callable `void(const util::FieldVec&, Record&)` invoked
+/// concurrently from worker threads on a default-constructed record; it
+/// must be thread-safe and should throw failmine::Error for invalid
+/// records) and returns the records in file order. See the file comment
+/// for the determinism guarantee.
 template <class Record, class ParseFn>
 std::vector<Record> load_csv(const std::string& path,
                              const std::vector<std::string>& expected_header,
@@ -267,9 +295,17 @@ std::vector<Record> load_csv(const std::string& path,
       path, expected_header, source, header_label, records_counter,
       [] { return std::vector<Record>(); },
       [&parse](std::vector<Record>& out, const util::FieldVec& fields) {
-        out.push_back(parse(fields));
+        Record& record = out.emplace_back();
+        try {
+          parse(fields, record);
+        } catch (...) {
+          out.pop_back();
+          throw;
+        }
       },
       options);
+  if (parts.empty()) return {};
+  if (parts.size() == 1) return std::move(parts.front());
 
   // Merge in chunk order.
   std::size_t total_records = 0;
@@ -283,6 +319,29 @@ std::vector<Record> load_csv(const std::string& path,
     part.shrink_to_fit();
   }
   return merged;
+}
+
+/// Serial walk over `path` on the calling thread: header check as in
+/// load_csv, then `parse(fields)` (should throw failmine::Error for an
+/// invalid row) and `emit()` per record in file order, until `emit`
+/// returns false. Counters, WARN records and errors match load_csv's;
+/// a stopped walk counts the rows up to and including the last one
+/// emitted. Memory is the file mapping plus one row.
+template <class ParseFn, class EmitFn>
+void for_each_csv(const std::string& path,
+                  const std::vector<std::string>& expected_header,
+                  const char* source, const std::string& header_label,
+                  const char* records_counter, ParseFn&& parse, EmitFn&& emit) {
+  LoadOptions options;
+  options.threads = 1;
+  detail::LoadPlan plan =
+      detail::open_and_plan(path, expected_header, header_label, options);
+  detail::ChunkStats st;
+  detail::scan_records(plan.body, plan.header.size(), st, parse, emit);
+  if (st.failed)
+    detail::report_failure(path, source, records_counter, plan.header.size(),
+                           0, st.failure);
+  detail::flush_success(records_counter, st.rows);
 }
 
 }  // namespace failmine::ingest

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -26,8 +24,11 @@ IoLog::IoLog(std::vector<IoRecord> records) : records_(std::move(records)) {
 void IoLog::append(IoRecord record) { records_.push_back(record); }
 
 void IoLog::finalize() {
-  std::sort(records_.begin(), records_.end(),
-            [](const IoRecord& a, const IoRecord& b) { return a.job_id < b.job_id; });
+  const auto before = [](const IoRecord& a, const IoRecord& b) {
+    return a.job_id < b.job_id;
+  };
+  if (!std::is_sorted(records_.begin(), records_.end(), before))
+    std::stable_sort(records_.begin(), records_.end(), before);
   index_.clear();
   index_.reserve(records_.size());
   for (std::size_t i = 0; i < records_.size(); ++i) {
@@ -63,12 +64,7 @@ void IoLog::write_csv(const std::string& path) const {
   writer.close();
 }
 
-namespace {
-
-// Row is std::vector<std::string> (serial reader) or util::FieldVec
-// (ingest engine); both index to something convertible to string_view.
-template <class Row>
-void parse_row_into(const Row& row, IoRecord& r) {
+void parse_csv_row(const util::FieldVec& row, IoRecord& r) {
   r.job_id = util::parse_uint(row[0]);
   r.bytes_read = util::parse_uint(row[1]);
   r.bytes_written = util::parse_uint(row[2]);
@@ -78,49 +74,13 @@ void parse_row_into(const Row& row, IoRecord& r) {
   r.ranks_doing_io = static_cast<std::uint32_t>(util::parse_uint(row[6]));
 }
 
-template <class Row>
-iolog::IoRecord parse_row(const Row& row) {
-  IoRecord r;
-  parse_row_into(row, r);
-  return r;
-}
-
-}  // namespace
-
-void parse_csv_row(const util::FieldVec& row, IoRecord& out) {
-  parse_row_into(row, out);
-}
-
 IoLog IoLog::read_csv(const std::string& path,
-                      const ingest::LoadOptions& options,
-                      ingest::Engine engine) {
+                      const ingest::LoadOptions& options) {
   FAILMINE_TRACE_SPAN("iolog.read_csv");
-  if (!ingest::use_serial_reader(options, engine)) {
-    return IoLog(ingest::load_csv<IoRecord>(
-        path, io_csv_header(), "iolog", "I/O log", "parse.iolog.records",
-        [](const util::FieldVec& row) { return parse_row(row); }, options));
-  }
-  util::CsvReader reader(path);
-  if (reader.header() != io_csv_header())
-    throw failmine::ParseError("unexpected I/O log header in " + path);
-  obs::Counter& records_counter = obs::metrics().counter("parse.iolog.records");
-  std::vector<IoRecord> records;
-  std::vector<std::string> row;
-  while (reader.next(row)) {
-    try {
-      records.push_back(parse_row(row));
-    } catch (const failmine::Error& e) {
-      obs::metrics().counter("parse.lines_rejected").add();
-      obs::logger().warn("parse.record_rejected",
-                         {{"source", "iolog"},
-                          {"file", path},
-                          {"row", reader.rows_read() + 1},
-                          {"error", e.what()}});
-      throw;
-    }
-    records_counter.add();
-  }
-  return IoLog(std::move(records));
+  return IoLog(ingest::load_csv<IoRecord>(
+      path, io_csv_header(), "iolog", "I/O log", "parse.iolog.records",
+      [](const util::FieldVec& row, IoRecord& r) { parse_csv_row(row, r); },
+      options));
 }
 
 }  // namespace failmine::iolog

@@ -57,6 +57,8 @@ class IoLog {
   bool empty() const { return records_.empty(); }
 
   void append(IoRecord record);
+  /// Sorts unless already in order (equal keys keep their order) and
+  /// rebuilds the index.
   void finalize();
 
   bool contains(std::uint64_t job_id) const;
@@ -65,12 +67,10 @@ class IoLog {
 
   void write_csv(const std::string& path) const;
 
-  /// Reads a log written by write_csv. Defaults to the parallel mmap
-  /// ingest engine; `options.threads == 1` (or Engine::kSerial) selects
-  /// the serial reader. Both paths produce identical results.
+  /// Reads a log written by write_csv through the mmap ingest engine
+  /// (ingest/loader.hpp); every thread count gives identical results.
   static IoLog read_csv(const std::string& path,
-                        const ingest::LoadOptions& options = {},
-                        ingest::Engine engine = ingest::Engine::kAuto);
+                        const ingest::LoadOptions& options = {});
 
  private:
   std::vector<IoRecord> records_;

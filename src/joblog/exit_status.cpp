@@ -1,26 +1,32 @@
 #include "joblog/exit_status.hpp"
 
+#include <cstddef>
+#include <iterator>
+
 #include "util/error.hpp"
 
 namespace failmine::joblog {
 
+namespace {
+
+// Spellings indexed by the enum's value; both directions read it.
+constexpr std::string_view kExitClassNames[] = {
+    "SUCCESS",        "USER_APP_ERROR",  "USER_CONFIG_ERROR", "USER_KILL",
+    "WALLTIME_LIMIT", "SYSTEM_HARDWARE", "SYSTEM_SOFTWARE",   "SYSTEM_IO"};
+static_assert(std::size(kExitClassNames) == std::size(kAllExitClasses));
+
+}  // namespace
+
 std::string exit_class_name(ExitClass cls) {
-  switch (cls) {
-    case ExitClass::kSuccess: return "SUCCESS";
-    case ExitClass::kUserAppError: return "USER_APP_ERROR";
-    case ExitClass::kUserConfigError: return "USER_CONFIG_ERROR";
-    case ExitClass::kUserKill: return "USER_KILL";
-    case ExitClass::kWalltimeLimit: return "WALLTIME_LIMIT";
-    case ExitClass::kSystemHardware: return "SYSTEM_HARDWARE";
-    case ExitClass::kSystemSoftware: return "SYSTEM_SOFTWARE";
-    case ExitClass::kSystemIo: return "SYSTEM_IO";
-  }
-  throw failmine::DomainError("unknown exit class");
+  const auto i = static_cast<std::size_t>(cls);
+  if (i >= std::size(kExitClassNames))
+    throw failmine::DomainError("unknown exit class");
+  return std::string(kExitClassNames[i]);
 }
 
 ExitClass exit_class_from_name(std::string_view name) {
-  for (ExitClass c : kAllExitClasses)
-    if (exit_class_name(c) == name) return c;
+  for (std::size_t i = 0; i < std::size(kExitClassNames); ++i)
+    if (kExitClassNames[i] == name) return static_cast<ExitClass>(i);
   throw failmine::ParseError("unknown exit class: '" + std::string(name) + "'");
 }
 

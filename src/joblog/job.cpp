@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -37,10 +35,14 @@ JobLog::JobLog(std::vector<JobRecord> jobs) : jobs_(std::move(jobs)) { finalize(
 void JobLog::append(JobRecord job) { jobs_.push_back(std::move(job)); }
 
 void JobLog::finalize() {
-  std::sort(jobs_.begin(), jobs_.end(), [](const JobRecord& a, const JobRecord& b) {
+  const auto before = [](const JobRecord& a, const JobRecord& b) {
     if (a.start_time != b.start_time) return a.start_time < b.start_time;
     return a.job_id < b.job_id;
-  });
+  };
+  // Loaded logs are almost always in order already: one O(n) check
+  // usually saves the sort. Stable, so equal keys keep file order.
+  if (!std::is_sorted(jobs_.begin(), jobs_.end(), before))
+    std::stable_sort(jobs_.begin(), jobs_.end(), before);
   index_.clear();
   index_.reserve(jobs_.size());
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
@@ -109,18 +111,11 @@ void JobLog::write_csv(const std::string& path) const {
   writer.close();
 }
 
-namespace {
-
-// Row is std::vector<std::string> (serial reader) or util::FieldVec
-// (ingest engine); both index to something convertible to string_view.
-// Fills `j` in place so string fields keep their capacity when the
-// caller reuses one record across rows.
-template <class Row>
-void parse_row_into(const Row& row, JobRecord& j) {
+void parse_csv_row(const util::FieldVec& row, JobRecord& j) {
   j.job_id = util::parse_uint(row[0]);
   j.user_id = static_cast<std::uint32_t>(util::parse_uint(row[1]));
   j.project_id = static_cast<std::uint32_t>(util::parse_uint(row[2]));
-  j.queue = std::string_view(row[3]);
+  j.queue = row[3];
   j.submit_time = util::parse_timestamp(row[4]);
   j.start_time = util::parse_timestamp(row[5]);
   j.end_time = util::parse_timestamp(row[6]);
@@ -139,61 +134,24 @@ void parse_row_into(const Row& row, JobRecord& j) {
                                " starts before submission");
 }
 
-template <class Row>
-JobRecord parse_row(const Row& row) {
-  JobRecord j;
-  parse_row_into(row, j);
-  return j;
-}
-
-}  // namespace
-
-void parse_csv_row(const util::FieldVec& row, JobRecord& out) {
-  parse_row_into(row, out);
-}
-
 JobLog JobLog::read_csv(const std::string& path,
-                        const ingest::LoadOptions& options,
-                        ingest::Engine engine) {
-  if (ingest::use_serial_reader(options, engine)) {
-    std::vector<JobRecord> jobs;
-    for_each_csv(path, [&](const JobRecord& j) {
-      jobs.push_back(j);
-      return true;
-    });
-    return JobLog(std::move(jobs));
-  }
+                        const ingest::LoadOptions& options) {
   FAILMINE_TRACE_SPAN("joblog.read_csv");
   return JobLog(ingest::load_csv<JobRecord>(
       path, job_csv_header(), "joblog", "job log", "parse.joblog.records",
-      [](const util::FieldVec& row) { return parse_row(row); }, options));
+      [](const util::FieldVec& row, JobRecord& j) { parse_csv_row(row, j); },
+      options));
 }
 
 void JobLog::for_each_csv(
     const std::string& path,
     const std::function<bool(const JobRecord&)>& callback) {
   FAILMINE_TRACE_SPAN("joblog.read_csv");
-  util::CsvReader reader(path);
-  if (reader.header() != job_csv_header())
-    throw failmine::ParseError("unexpected job log header in " + path);
-  obs::Counter& records = obs::metrics().counter("parse.joblog.records");
-  std::vector<std::string> row;
-  while (reader.next(row)) {
-    JobRecord j;
-    try {
-      j = parse_row(row);
-    } catch (const failmine::Error& e) {
-      obs::metrics().counter("parse.lines_rejected").add();
-      obs::logger().warn("parse.record_rejected",
-                         {{"source", "joblog"},
-                          {"file", path},
-                          {"row", reader.rows_read() + 1},
-                          {"error", e.what()}});
-      throw;
-    }
-    records.add();
-    if (!callback(j)) break;
-  }
+  JobRecord j;
+  ingest::for_each_csv(
+      path, job_csv_header(), "joblog", "job log", "parse.joblog.records",
+      [&](const util::FieldVec& row) { parse_csv_row(row, j); },
+      [&] { return callback(j); });
 }
 
 }  // namespace failmine::joblog

@@ -77,7 +77,9 @@ class JobLog {
   bool empty() const { return jobs_.empty(); }
 
   void append(JobRecord job);
-  void finalize();  ///< sort by (start_time, job_id) and rebuild the index
+  /// Sorts by (start_time, job_id) unless already in that order (equal
+  /// keys keep their order) and rebuilds the index.
+  void finalize();
 
   /// Looks up a job by id; throws DomainError if absent.
   const JobRecord& by_id(std::uint64_t job_id) const;
@@ -94,15 +96,14 @@ class JobLog {
 
   void write_csv(const std::string& path) const;
 
-  /// Reads a log written by write_csv. Defaults to the parallel mmap
-  /// ingest engine; `options.threads == 1` (or Engine::kSerial) selects
-  /// the serial reader. Both paths produce identical results.
+  /// Reads a log written by write_csv through the mmap ingest engine
+  /// (ingest/loader.hpp); every thread count gives identical results.
   static JobLog read_csv(const std::string& path,
-                         const ingest::LoadOptions& options = {},
-                         ingest::Engine engine = ingest::Engine::kAuto);
+                         const ingest::LoadOptions& options = {});
 
-  /// Streams a CSV job log row by row in O(1) memory; `callback` returns
-  /// false to stop early.
+  /// Streams a CSV job log row by row on the calling thread, holding one
+  /// record; `callback` returns false to stop early. Parsing, counters
+  /// and diagnostics match read_csv.
   static void for_each_csv(const std::string& path,
                            const std::function<bool(const JobRecord&)>& callback);
 

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <array>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
-#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace failmine::raslog {
@@ -26,11 +23,14 @@ RasLog::RasLog(std::vector<RasEvent> events) : events_(std::move(events)) {
 void RasLog::append(RasEvent event) { events_.push_back(std::move(event)); }
 
 void RasLog::finalize() {
-  std::sort(events_.begin(), events_.end(),
-            [](const RasEvent& a, const RasEvent& b) {
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              return a.record_id < b.record_id;
-            });
+  const auto before = [](const RasEvent& a, const RasEvent& b) {
+    if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+    return a.record_id < b.record_id;
+  };
+  // Loaded logs are almost always in order already: one O(n) check
+  // usually saves the sort. Stable, so equal keys keep file order.
+  if (!std::is_sorted(events_.begin(), events_.end(), before))
+    std::stable_sort(events_.begin(), events_.end(), before);
 }
 
 std::vector<RasEvent> RasLog::filter_severity(Severity severity) const {
@@ -72,16 +72,11 @@ void RasLog::write_csv(const std::string& path) const {
   writer.close();
 }
 
-namespace {
-
-// Row is std::vector<std::string> (serial reader) or util::FieldVec
-// (ingest engine); both index to something convertible to string_view.
-template <class Row>
-void parse_row_into(const Row& row, const topology::MachineConfig& config,
-                    RasEvent& e) {
+void parse_csv_row(const util::FieldVec& row,
+                   const topology::MachineConfig& config, RasEvent& e) {
   e.record_id = util::parse_uint(row[0]);
   e.timestamp = util::parse_timestamp(row[1]);
-  e.message_id = std::string_view(row[2]);
+  e.message_id = row[2];
   e.severity = severity_from_name(row[3]);
   e.component = component_from_name(row[4]);
   e.category = category_from_name(row[5]);
@@ -90,40 +85,18 @@ void parse_row_into(const Row& row, const topology::MachineConfig& config,
     e.job_id = util::parse_uint(row[7]);
   else
     e.job_id.reset();
-  e.text = std::string_view(row[8]);
-}
-
-template <class Row>
-raslog::RasEvent parse_row(const Row& row,
-                           const topology::MachineConfig& config) {
-  RasEvent e;
-  parse_row_into(row, config, e);
-  return e;
-}
-
-}  // namespace
-
-void parse_csv_row(const util::FieldVec& row,
-                   const topology::MachineConfig& config, RasEvent& out) {
-  parse_row_into(row, config, out);
+  e.text = row[8];
 }
 
 RasLog RasLog::read_csv(const std::string& path,
                         const topology::MachineConfig& config,
-                        const ingest::LoadOptions& options,
-                        ingest::Engine engine) {
-  if (ingest::use_serial_reader(options, engine)) {
-    std::vector<RasEvent> events;
-    for_each_csv(path, config, [&](const RasEvent& e) {
-      events.push_back(e);
-      return true;
-    });
-    return RasLog(std::move(events));
-  }
+                        const ingest::LoadOptions& options) {
   FAILMINE_TRACE_SPAN("raslog.read_csv");
   return RasLog(ingest::load_csv<RasEvent>(
       path, ras_csv_header(), "raslog", "RAS log", "parse.raslog.records",
-      [&config](const util::FieldVec& row) { return parse_row(row, config); },
+      [&config](const util::FieldVec& row, RasEvent& e) {
+        parse_csv_row(row, config, e);
+      },
       options));
 }
 
@@ -131,27 +104,11 @@ void RasLog::for_each_csv(const std::string& path,
                           const topology::MachineConfig& config,
                           const std::function<bool(const RasEvent&)>& callback) {
   FAILMINE_TRACE_SPAN("raslog.read_csv");
-  util::CsvReader reader(path);
-  if (reader.header() != ras_csv_header())
-    throw failmine::ParseError("unexpected RAS log header in " + path);
-  obs::Counter& records = obs::metrics().counter("parse.raslog.records");
-  std::vector<std::string> row;
-  while (reader.next(row)) {
-    RasEvent e;
-    try {
-      e = parse_row(row, config);
-    } catch (const failmine::Error& err) {
-      obs::metrics().counter("parse.lines_rejected").add();
-      obs::logger().warn("parse.record_rejected",
-                         {{"source", "raslog"},
-                          {"file", path},
-                          {"row", reader.rows_read() + 1},
-                          {"error", err.what()}});
-      throw;
-    }
-    records.add();
-    if (!callback(e)) break;
-  }
+  RasEvent e;
+  ingest::for_each_csv(
+      path, ras_csv_header(), "raslog", "RAS log", "parse.raslog.records",
+      [&](const util::FieldVec& row) { parse_csv_row(row, config, e); },
+      [&] { return callback(e); });
 }
 
 }  // namespace failmine::raslog

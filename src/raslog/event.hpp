@@ -56,7 +56,7 @@ class RasLog {
  public:
   RasLog() = default;
 
-  /// Takes ownership; sorts by (timestamp, record_id).
+  /// Takes ownership; finalize()s.
   explicit RasLog(std::vector<RasEvent> events);
 
   const std::vector<RasEvent>& events() const { return events_; }
@@ -66,7 +66,8 @@ class RasLog {
   /// Appends one event (re-sorting deferred until finalize()).
   void append(RasEvent event);
 
-  /// Sorts by (timestamp, record_id); call after a batch of appends.
+  /// Sorts by (timestamp, record_id) unless already in that order; call
+  /// after a batch of appends. Events with equal keys keep their order.
   void finalize();
 
   /// Events with the given severity, in time order.
@@ -85,19 +86,18 @@ class RasLog {
   /// Reads a log written by write_csv, validating every field against the
   /// machine config and catalog. Throws ParseError / IoError.
   ///
-  /// By default the file is loaded by the parallel mmap ingest engine
-  /// (ingest/loader.hpp) with `options.threads` workers; `options.threads
-  /// == 1` (or Engine::kSerial) selects the line-oriented serial reader.
-  /// Both paths produce identical events, metrics and diagnostics.
+  /// The file is loaded by the mmap ingest engine (ingest/loader.hpp)
+  /// with `options.threads` workers; every thread count produces the
+  /// same events, metrics and diagnostics.
   static RasLog read_csv(const std::string& path,
                          const topology::MachineConfig& config,
-                         const ingest::LoadOptions& options = {},
-                         ingest::Engine engine = ingest::Engine::kAuto);
+                         const ingest::LoadOptions& options = {});
 
   /// Streams a CSV log row by row without materializing it: `callback` is
-  /// invoked once per event in file order. Returning false stops early.
-  /// Memory use is O(1) in the log size — the right entry point for
-  /// paper-scale (multi-GB) RAS logs.
+  /// invoked once per event in file order, on the calling thread.
+  /// Returning false stops early. The file is walked through its mapping
+  /// with the ingest engine's cursor and splitter, so parsing, counters
+  /// and diagnostics match read_csv; the only heap use is one event.
   static void for_each_csv(const std::string& path,
                            const topology::MachineConfig& config,
                            const std::function<bool(const RasEvent&)>& callback);

@@ -1,72 +1,95 @@
+#include <cstddef>
+#include <string>
+
 #include "raslog/category.hpp"
 #include "raslog/component.hpp"
 #include "raslog/severity.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace failmine::raslog {
 
-std::string severity_name(Severity severity) {
-  switch (severity) {
-    case Severity::kInfo: return "INFO";
-    case Severity::kWarn: return "WARN";
-    case Severity::kFatal: return "FATAL";
+namespace {
+
+// One spelling table per enum, indexed by the enum's value; both
+// directions of the name mapping read it.
+constexpr std::string_view kSeverityNames[] = {"INFO", "WARN", "FATAL"};
+constexpr std::string_view kComponentNames[] = {
+    "CNK", "MMCS", "MC",       "BQC",   "DDR",  "ND",      "MUDM",
+    "PCI", "CARD", "FIRMWARE", "LINUX", "GPFS", "COOLANT", "BULKPOWER"};
+constexpr std::string_view kCategoryNames[] = {
+    "MEMORY",   "PROCESSOR", "NETWORK", "IO",
+    "SOFTWARE", "POWER",     "COOLING", "CONTROL"};
+
+static_assert(std::size(kSeverityNames) == std::size(kAllSeverities));
+static_assert(std::size(kComponentNames) == std::size(kAllComponents));
+static_assert(std::size(kCategoryNames) == std::size(kAllCategories));
+
+template <class Enum, std::size_t N>
+std::string name_of(const std::string_view (&names)[N], Enum value,
+                    const char* what) {
+  const auto i = static_cast<std::size_t>(value);
+  if (i >= N) throw failmine::DomainError(std::string("unknown ") + what);
+  return std::string(names[i]);
+}
+
+/// Exact-case lookup; returns N when `name` is not in the table.
+template <std::size_t N>
+std::size_t index_of(const std::string_view (&names)[N],
+                     std::string_view name) {
+  std::size_t i = 0;
+  while (i < N && names[i] != name) ++i;
+  return i;
+}
+
+/// ASCII case-insensitive equality, with no lower-cased copy; bytes
+/// outside A-Z compare as they are.
+bool iequals(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    char c = a[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+    char d = b[i];
+    if (d >= 'A' && d <= 'Z') d = static_cast<char>(d - 'A' + 'a');
+    if (c != d) return false;
   }
-  throw failmine::DomainError("unknown severity");
+  return true;
+}
+
+}  // namespace
+
+std::string severity_name(Severity severity) {
+  return name_of(kSeverityNames, severity, "severity");
 }
 
 Severity severity_from_name(std::string_view name) {
-  const std::string up = util::to_lower(name);
-  if (up == "info") return Severity::kInfo;
-  if (up == "warn" || up == "warning") return Severity::kWarn;
-  if (up == "fatal") return Severity::kFatal;
+  for (std::size_t i = 0; i < std::size(kSeverityNames); ++i)
+    if (iequals(name, kSeverityNames[i])) return static_cast<Severity>(i);
+  if (iequals(name, "warning")) return Severity::kWarn;
   throw failmine::ParseError("unknown severity: '" + std::string(name) + "'");
 }
 
 std::string component_name(Component component) {
-  switch (component) {
-    case Component::kCnk: return "CNK";
-    case Component::kMmcs: return "MMCS";
-    case Component::kMc: return "MC";
-    case Component::kBqc: return "BQC";
-    case Component::kDdr: return "DDR";
-    case Component::kNd: return "ND";
-    case Component::kMudm: return "MUDM";
-    case Component::kPci: return "PCI";
-    case Component::kCard: return "CARD";
-    case Component::kFirmware: return "FIRMWARE";
-    case Component::kLinux: return "LINUX";
-    case Component::kGpfs: return "GPFS";
-    case Component::kCoolant: return "COOLANT";
-    case Component::kBulkPower: return "BULKPOWER";
-  }
-  throw failmine::DomainError("unknown component");
+  return name_of(kComponentNames, component, "component");
 }
 
 Component component_from_name(std::string_view name) {
-  for (Component c : kAllComponents)
-    if (component_name(c) == name) return c;
-  throw failmine::ParseError("unknown component: '" + std::string(name) + "'");
+  const std::size_t i = index_of(kComponentNames, name);
+  if (i == std::size(kComponentNames))
+    throw failmine::ParseError("unknown component: '" + std::string(name) +
+                               "'");
+  return static_cast<Component>(i);
 }
 
 std::string category_name(Category category) {
-  switch (category) {
-    case Category::kMemory: return "MEMORY";
-    case Category::kProcessor: return "PROCESSOR";
-    case Category::kNetwork: return "NETWORK";
-    case Category::kIo: return "IO";
-    case Category::kSoftware: return "SOFTWARE";
-    case Category::kPower: return "POWER";
-    case Category::kCooling: return "COOLING";
-    case Category::kControl: return "CONTROL";
-  }
-  throw failmine::DomainError("unknown category");
+  return name_of(kCategoryNames, category, "category");
 }
 
 Category category_from_name(std::string_view name) {
-  for (Category c : kAllCategories)
-    if (category_name(c) == name) return c;
-  throw failmine::ParseError("unknown category: '" + std::string(name) + "'");
+  const std::size_t i = index_of(kCategoryNames, name);
+  if (i == std::size(kCategoryNames))
+    throw failmine::ParseError("unknown category: '" + std::string(name) +
+                               "'");
+  return static_cast<Category>(i);
 }
 
 }  // namespace failmine::raslog

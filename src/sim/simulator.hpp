@@ -44,8 +44,8 @@ void write_dataset(const SimResult& result, const std::string& directory);
 
 /// Loads a dataset previously written by write_dataset. `episodes` comes
 /// back empty (ground truth is not part of the log schema, as in reality).
-/// All four logs load through the parallel mmap ingest engine by default;
-/// `options` tunes it (threads == 1 selects the serial readers).
+/// All four logs load through the mmap ingest engine; `options` tunes it
+/// (threads == 1 parses each file inline on the calling thread).
 SimResult load_dataset(const std::string& directory,
                        const topology::MachineConfig& machine,
                        const ingest::LoadOptions& options = {});

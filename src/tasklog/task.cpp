@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -25,11 +23,12 @@ TaskLog::TaskLog(std::vector<TaskRecord> tasks) : tasks_(std::move(tasks)) {
 void TaskLog::append(TaskRecord task) { tasks_.push_back(std::move(task)); }
 
 void TaskLog::finalize() {
-  std::sort(tasks_.begin(), tasks_.end(),
-            [](const TaskRecord& a, const TaskRecord& b) {
-              if (a.job_id != b.job_id) return a.job_id < b.job_id;
-              return a.sequence < b.sequence;
-            });
+  const auto before = [](const TaskRecord& a, const TaskRecord& b) {
+    if (a.job_id != b.job_id) return a.job_id < b.job_id;
+    return a.sequence < b.sequence;
+  };
+  if (!std::is_sorted(tasks_.begin(), tasks_.end(), before))
+    std::stable_sort(tasks_.begin(), tasks_.end(), before);
   by_job_.clear();
   for (std::size_t i = 0; i < tasks_.size(); ++i)
     by_job_[tasks_[i].job_id].push_back(i);
@@ -67,12 +66,7 @@ void TaskLog::write_csv(const std::string& path) const {
   writer.close();
 }
 
-namespace {
-
-// Row is std::vector<std::string> (serial reader) or util::FieldVec
-// (ingest engine); both index to something convertible to string_view.
-template <class Row>
-void parse_row_into(const Row& row, TaskRecord& t) {
+void parse_csv_row(const util::FieldVec& row, TaskRecord& t) {
   t.task_id = util::parse_uint(row[0]);
   t.job_id = util::parse_uint(row[1]);
   t.sequence = static_cast<std::uint32_t>(util::parse_uint(row[2]));
@@ -87,49 +81,13 @@ void parse_row_into(const Row& row, TaskRecord& t) {
                                " ends before it starts");
 }
 
-template <class Row>
-tasklog::TaskRecord parse_row(const Row& row) {
-  TaskRecord t;
-  parse_row_into(row, t);
-  return t;
-}
-
-}  // namespace
-
-void parse_csv_row(const util::FieldVec& row, TaskRecord& out) {
-  parse_row_into(row, out);
-}
-
 TaskLog TaskLog::read_csv(const std::string& path,
-                          const ingest::LoadOptions& options,
-                          ingest::Engine engine) {
+                          const ingest::LoadOptions& options) {
   FAILMINE_TRACE_SPAN("tasklog.read_csv");
-  if (!ingest::use_serial_reader(options, engine)) {
-    return TaskLog(ingest::load_csv<TaskRecord>(
-        path, task_csv_header(), "tasklog", "task log", "parse.tasklog.records",
-        [](const util::FieldVec& row) { return parse_row(row); }, options));
-  }
-  util::CsvReader reader(path);
-  if (reader.header() != task_csv_header())
-    throw failmine::ParseError("unexpected task log header in " + path);
-  obs::Counter& records = obs::metrics().counter("parse.tasklog.records");
-  std::vector<TaskRecord> tasks;
-  std::vector<std::string> row;
-  while (reader.next(row)) {
-    try {
-      tasks.push_back(parse_row(row));
-    } catch (const failmine::Error& e) {
-      obs::metrics().counter("parse.lines_rejected").add();
-      obs::logger().warn("parse.record_rejected",
-                         {{"source", "tasklog"},
-                          {"file", path},
-                          {"row", reader.rows_read() + 1},
-                          {"error", e.what()}});
-      throw;
-    }
-    records.add();
-  }
-  return TaskLog(std::move(tasks));
+  return TaskLog(ingest::load_csv<TaskRecord>(
+      path, task_csv_header(), "tasklog", "task log", "parse.tasklog.records",
+      [](const util::FieldVec& row, TaskRecord& t) { parse_csv_row(row, t); },
+      options));
 }
 
 }  // namespace failmine::tasklog

@@ -61,6 +61,8 @@ class TaskLog {
   bool empty() const { return tasks_.empty(); }
 
   void append(TaskRecord task);
+  /// Sorts unless already in order (equal keys keep their order) and
+  /// rebuilds the index.
   void finalize();
 
   /// Tasks belonging to a job, in sequence order (empty if none).
@@ -71,12 +73,10 @@ class TaskLog {
 
   void write_csv(const std::string& path) const;
 
-  /// Reads a log written by write_csv. Defaults to the parallel mmap
-  /// ingest engine; `options.threads == 1` (or Engine::kSerial) selects
-  /// the serial reader. Both paths produce identical results.
+  /// Reads a log written by write_csv through the mmap ingest engine
+  /// (ingest/loader.hpp); every thread count gives identical results.
   static TaskLog read_csv(const std::string& path,
-                          const ingest::LoadOptions& options = {},
-                          ingest::Engine engine = ingest::Engine::kAuto);
+                          const ingest::LoadOptions& options = {});
 
  private:
   std::vector<TaskRecord> tasks_;

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace failmine::topology {
 
@@ -96,50 +95,59 @@ Location Location::with_core(int core) const {
 }
 
 Location Location::parse(std::string_view text, const MachineConfig& config) {
-  const auto parts = util::split(text, '-');
-  if (parts.empty() || parts[0].empty())
-    throw failmine::ParseError("empty location string");
+  // One pass over `text`: each '-'-separated component is validated as
+  // soon as it is cut off, in order, so errors (and their messages) are
+  // those of checking the components left to right.
+  std::size_t pos = 0;  // start of the next component; npos after the last
+  const auto next_part = [&] {
+    const std::size_t dash = text.find('-', pos);
+    const std::string_view part = text.substr(
+        pos, dash == std::string_view::npos ? dash : dash - pos);
+    pos = dash == std::string_view::npos ? dash : dash + 1;
+    return part;
+  };
+  const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
 
   // Rack part: R<row><col-hex>, e.g. "R17" or "R2F".
-  const std::string& r = parts[0];
-  if (r.size() != 3 || r[0] != 'R' || r[1] < '0' || r[1] > '9')
-    throw failmine::ParseError("bad rack component '" + r + "'");
-  const int row = r[1] - '0';
-  const int col = hex_digit_value(r[2]);
-  if (row >= config.rack_rows || col >= config.rack_columns)
-    throw failmine::DomainError("rack " + r + " outside machine");
-  Location loc = rack(row, col);
+  const std::string_view r = next_part();
+  if (r.empty()) throw failmine::ParseError("empty location string");
+  if (r.size() != 3 || r[0] != 'R' || !is_digit(r[1]))
+    throw failmine::ParseError("bad rack component '" + std::string(r) + "'");
+  Location loc;
+  loc.rack_row_ = r[1] - '0';
+  loc.rack_column_ = hex_digit_value(r[2]);
+  if (loc.rack_row_ >= config.rack_rows ||
+      loc.rack_column_ >= config.rack_columns)
+    throw failmine::DomainError("rack " + std::string(r) + " outside machine");
+  if (pos == std::string_view::npos) return loc;
 
-  if (parts.size() >= 2) {
-    const int m = [&] {
-      const std::string& p = parts[1];
-      if (p.size() != 2 || p[0] != 'M' || p[1] < '0' || p[1] > '9')
-        throw failmine::ParseError("bad midplane component '" + p + "'");
-      return p[1] - '0';
-    }();
-    if (m >= config.midplanes_per_rack)
-      throw failmine::DomainError("midplane out of machine range");
-    loc = loc.with_midplane(m);
-  }
-  if (parts.size() >= 3) {
-    const int n = parse_two_digits(parts[2], 'N');
-    if (n >= config.boards_per_midplane)
-      throw failmine::DomainError("node board out of machine range");
-    loc = loc.with_board(n);
-  }
-  if (parts.size() >= 4) {
-    const int j = parse_two_digits(parts[3], 'J');
-    if (j >= config.cards_per_board)
-      throw failmine::DomainError("compute card out of machine range");
-    loc = loc.with_card(j);
-  }
-  if (parts.size() >= 5) {
-    const int c = parse_two_digits(parts[4], 'C');
-    if (c >= config.cores_per_node)
-      throw failmine::DomainError("core out of machine range");
-    loc = loc.with_core(c);
-  }
-  if (parts.size() > 5)
+  const std::string_view m = next_part();
+  if (m.size() != 2 || m[0] != 'M' || !is_digit(m[1]))
+    throw failmine::ParseError("bad midplane component '" + std::string(m) +
+                               "'");
+  loc.midplane_ = m[1] - '0';
+  if (loc.midplane_ >= config.midplanes_per_rack)
+    throw failmine::DomainError("midplane out of machine range");
+  loc.level_ = Level::kMidplane;
+  if (pos == std::string_view::npos) return loc;
+
+  loc.board_ = parse_two_digits(next_part(), 'N');
+  if (loc.board_ >= config.boards_per_midplane)
+    throw failmine::DomainError("node board out of machine range");
+  loc.level_ = Level::kNodeBoard;
+  if (pos == std::string_view::npos) return loc;
+
+  loc.card_ = parse_two_digits(next_part(), 'J');
+  if (loc.card_ >= config.cards_per_board)
+    throw failmine::DomainError("compute card out of machine range");
+  loc.level_ = Level::kComputeCard;
+  if (pos == std::string_view::npos) return loc;
+
+  loc.core_ = parse_two_digits(next_part(), 'C');
+  if (loc.core_ >= config.cores_per_node)
+    throw failmine::DomainError("core out of machine range");
+  loc.level_ = Level::kCore;
+  if (pos != std::string_view::npos)
     throw failmine::ParseError("location has too many components: '" +
                                std::string(text) + "'");
   return loc;

@@ -4,17 +4,18 @@
 //
 // The simulated logs are plain comma-separated files with a header row.
 // Fields containing commas, quotes or newlines are quoted per RFC 4180.
-// The reader is line-oriented (log records never span lines once quoted
-// newlines are escaped by the writer, which the log libraries guarantee by
-// sanitizing free-text fields).
 //
 // Two splitting APIs share one quote state machine:
-//  * split_csv_line materializes std::string fields (the streaming
-//    CsvReader path);
+//  * split_csv_line materializes std::string fields (headers and the
+//    CsvReader);
 //  * split_csv_fields yields std::string_view fields into a caller-owned
 //    FieldVec, copying bytes only for fields that need quote unescaping —
-//    the allocation-free hot path of the parallel ingest engine
-//    (ingest/loader.hpp).
+//    the allocation-free hot path of the ingest engine
+//    (ingest/loader.hpp), which the log libraries load through.
+//
+// CsvReader is a line-oriented reader (a quoted field cannot span lines
+// in it). No log library loads through it; it stays as an independent
+// oracle the ingest tests compare the engine against.
 
 #pragma once
 
@@ -55,6 +56,7 @@ class FieldVec {
 
  private:
   friend void split_csv_fields(std::string_view line, FieldVec& out);
+  friend void split_quoted_csv_fields(std::string_view line, FieldVec& out);
 
   struct Ref {
     std::size_t begin = 0;
@@ -87,8 +89,9 @@ void split_csv_line(std::string_view line, std::vector<std::string>& fields);
 /// Zero-copy split: fields become string_views into `line` (or into
 /// `out`'s scratch buffer for fields with escaped quotes). `line` may
 /// contain quoted newlines — any byte inside quotes is field content.
-/// Throws ParseError on unterminated quotes. Shares the quote state
-/// machine with split_csv_line, so the two agree on every input.
+/// Throws ParseError on unterminated quotes. A line without '"' is split
+/// on commas with memchr; any other line goes through the quote state
+/// machine split_csv_line uses, so the two agree on every input.
 void split_csv_fields(std::string_view line, FieldVec& out);
 
 /// Quotes a field if (and only if) it needs quoting.

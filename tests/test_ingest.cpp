@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -277,13 +278,11 @@ struct TestRecord {
 
 constexpr char kPoisonText[] = "poison";
 
-TestRecord parse_test_record(const util::FieldVec& row) {
-  TestRecord r;
+void parse_test_record(const util::FieldVec& row, TestRecord& r) {
   r.id = util::parse_uint(row[0]);
   r.text = std::string(row[1]);
   if (r.text == kPoisonText)
     throw ParseError("record " + std::to_string(r.id) + " is poisoned");
-  return r;
 }
 
 const std::vector<std::string> kTestHeader = {"id", "text"};
@@ -464,6 +463,240 @@ TEST_F(IngestFileTest, IngestCountersAdvance) {
   EXPECT_EQ(m.counter("ingest.bytes_mapped").value() - bytes_before,
             std::string("id,text\n1,a\n2,b\n").size());
   EXPECT_GE(m.counter("ingest.chunks").value() - chunks_before, 1u);
+}
+
+// ------------------------------------------- differential (hostile CSV)
+//
+// The cursor and the splitter find plain records and fields with memchr
+// and fall back to the quote state machine only when a '"' appears.
+// These tests feed seeded hostile CSV to both and require the same
+// records, fields and errors as the state machine alone: the reference
+// cursor below is the byte-wise loop, and util::split_csv_line always
+// runs scan_csv_line.
+
+/// Records of `data` by the byte-wise quote state machine alone.
+std::vector<std::string> reference_records(std::string_view data) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    const std::size_t start = pos;
+    bool in_quotes = false;
+    std::size_t i = pos;
+    for (; i < data.size(); ++i) {
+      if (data[i] == '"')
+        in_quotes = !in_quotes;
+      else if (data[i] == '\n' && !in_quotes)
+        break;
+    }
+    std::size_t end = i;
+    pos = i < data.size() ? i + 1 : i;
+    if (end > start && data[end - 1] == '\r') --end;
+    out.emplace_back(data.substr(start, end - start));
+  }
+  return out;
+}
+
+/// Seeded generator of hostile CSV: "" escapes, quoted '\n' and "\r\n",
+/// quoted commas, empty and trailing-comma fields, quotes in the middle
+/// of unquoted text, CRLF line ends, unterminated quotes.
+class HostileCsv {
+ public:
+  explicit HostileCsv(std::uint64_t seed) : rng_(seed) {}
+
+  std::size_t pick(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng_);
+  }
+
+  std::string text(std::string_view alphabet, std::size_t max_len) {
+    std::string t;
+    for (std::size_t n = pick(max_len + 1); n > 0; --n)
+      t.push_back(alphabet[pick(alphabet.size())]);
+    return t;
+  }
+
+  std::string field() {
+    static constexpr std::string_view kPlain = "abcXYZ019 .:-_\r";
+    static constexpr std::string_view kQuoted = "ab ,\n\r;\"";
+    switch (pick(8)) {
+      case 0: return "";
+      case 1: return text(kPlain, 12);
+      case 2: return "\"\"";
+      case 3: return "\"" + text("a,b ", 6) + "\"";
+      case 4: return "\"say \"\"" + text(kPlain, 4) + "\"\"\"";
+      case 5: return "\"line\n" + text(kPlain, 4) + "\r\nend\"";
+      case 6: {  // quoted text whose quotes are all escaped
+        std::string q = "\"";
+        for (char c : text(kQuoted, 10))
+          q += c == '"' ? std::string("\"\"") : std::string(1, c);
+        return q + "\"";
+      }
+      default:  // text both outside and inside quotes
+        return text(kPlain, 3) + "\"" + text("x,\n", 3) + "\"" +
+               text(kPlain, 3);
+    }
+  }
+
+  /// One record with its terminator; `arity` 0 picks 1-6 fields.
+  std::string record(std::size_t arity) {
+    if (arity == 0) arity = 1 + pick(6);
+    std::string r;
+    for (std::size_t f = 0; f < arity; ++f) {
+      if (f > 0) r += ',';
+      r += field();
+    }
+    return r + (pick(3) == 0 ? "\r\n" : "\n");
+  }
+
+  /// A field whose opening quote never closes.
+  std::string unterminated() { return "\"" + text("ab,\n\r", 8); }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+/// `records` hostile records of random arity; some documents lack the
+/// final newline and some end in an unterminated quote.
+std::string hostile_document(std::uint64_t seed, std::size_t records) {
+  HostileCsv gen(seed);
+  std::string doc;
+  for (std::size_t i = 0; i < records; ++i) doc += gen.record(0);
+  if (seed % 3 == 1 && !doc.empty()) {
+    doc.pop_back();  // drop the final '\n' (a CRLF keeps its '\r')
+  } else if (seed % 3 == 2) {
+    doc += "x," + gen.unterminated();
+  }
+  return doc;
+}
+
+/// Fields of `line` as strings, or the ParseError text.
+std::vector<std::string> split_or_error(std::string_view line, bool fast) {
+  try {
+    if (!fast) return util::split_csv_line(line);
+    util::FieldVec fields;
+    util::split_csv_fields(line, fields);
+    return fields_as_strings(fields);
+  } catch (const ParseError& e) {
+    return {"<error>", e.what()};
+  }
+}
+
+TEST(IngestCsvDifferential, CursorMatchesStateMachineAcrossChunks) {
+  std::size_t records = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const std::string doc = hostile_document(seed, 500);
+    const std::vector<std::string> reference = reference_records(doc);
+    records += reference.size();
+    ASSERT_EQ(records_of(doc), reference) << "seed=" << seed;
+    // Chunk plans cut the document at record boundaries found by quote
+    // parity; every record, including ones with quoted newlines, must
+    // come out whole whichever chunk holds it.
+    for (std::size_t target : {std::size_t{2}, std::size_t{7},
+                               std::size_t{31}}) {
+      ASSERT_EQ(records_via_chunks(doc, target, 1), reference)
+          << "seed=" << seed << " target=" << target;
+      for (const Chunk& chunk : plan_chunks(doc, target, 1))
+        ASSERT_EQ(records_of(chunk.data), reference_records(chunk.data))
+            << "seed=" << seed << " chunk=" << chunk.index;
+    }
+  }
+  EXPECT_GE(records, 10000u);
+}
+
+TEST(IngestCsvDifferential, SplitterMatchesStateMachine) {
+  std::size_t records = 0;
+  std::size_t errors = 0;
+  for (std::uint64_t seed = 100; seed < 124; ++seed) {
+    HostileCsv gen(seed);
+    std::vector<std::string> lines = reference_records(
+        hostile_document(seed, 400));
+    // Standalone lines: unterminated quotes, trailing commas, quote-free.
+    for (int i = 0; i < 80; ++i) {
+      lines.push_back(gen.record(0) + "," + gen.unterminated());
+      lines.push_back(gen.text("ab,", 10) + ",");
+      lines.push_back(gen.text("ab,\r", 10));
+    }
+    for (const std::string& line : lines) {
+      const auto expected = split_or_error(line, false);
+      ASSERT_EQ(split_or_error(line, true), expected) << "line=" << line;
+      errors += !expected.empty() && expected[0] == "<error>";
+    }
+    records += lines.size();
+  }
+  EXPECT_GE(records, 10000u);
+  EXPECT_GT(errors, 0u);
+}
+
+TEST_F(IngestFileTest, DifferentialLoadMatchesStateMachine) {
+  // Fixed-arity hostile files through the whole engine. Seeds cycle
+  // through a clean file, one with a wrong-arity row and one with an
+  // unterminated quote mid-file; the expected records, error text and
+  // row counts come from the reference cursor + split_csv_line.
+  using Row = std::vector<std::string>;
+  const std::vector<std::string> header = {"a", "b", "c", "d"};
+  std::size_t records = 0;
+  for (std::uint64_t seed = 200; seed < 209; ++seed) {
+    HostileCsv gen(seed);
+    std::string body;
+    const std::size_t bad_row = 1200 + gen.pick(800);
+    for (std::size_t i = 0; i < 2400; ++i) {
+      if (i == bad_row && seed % 3 == 1)
+        body += gen.record(5);
+      else if (i == bad_row && seed % 3 == 2)
+        body += "1,2,3," + gen.unterminated() + "\n";
+      else
+        body += gen.record(header.size());
+    }
+    write("a,b,c,d\r\n" + body);
+
+    std::vector<Row> expected;
+    std::string expected_error;
+    std::size_t rows = 0;
+    for (const std::string& record : reference_records(body)) {
+      ++rows;
+      Row fields;
+      try {
+        fields = util::split_csv_line(record);
+      } catch (const ParseError& e) {
+        expected_error = e.what();
+        break;
+      }
+      if (fields.size() != header.size()) {
+        expected_error = "parse error: row " + std::to_string(rows + 1) +
+                         " of " + path_ + " has " +
+                         std::to_string(fields.size()) +
+                         " fields, expected 4";
+        break;
+      }
+      expected.push_back(std::move(fields));
+    }
+    records += rows;
+    EXPECT_EQ(expected_error.empty(), seed % 3 == 0) << "seed=" << seed;
+
+    for (unsigned threads : {1u, 2u, 8u}) {
+      LoadOptions options = tiny_chunks(threads);
+      options.min_chunk_bytes = 4096;
+      const std::uint64_t lines_before =
+          obs::metrics().counter("parse.lines_total").value();
+      std::string error;
+      std::vector<Row> loaded;
+      try {
+        loaded = load_csv<Row>(
+            path_, header, "testlog", "test log", kTestCounter,
+            [](const util::FieldVec& f, Row& r) { r = fields_as_strings(f); },
+            options);
+      } catch (const ParseError& e) {
+        error = e.what();
+      }
+      EXPECT_EQ(error, expected_error)
+          << "seed=" << seed << " threads=" << threads;
+      if (expected_error.empty()) EXPECT_EQ(loaded, expected);
+      EXPECT_EQ(obs::metrics().counter("parse.lines_total").value() -
+                    lines_before,
+                rows)
+          << "seed=" << seed << " threads=" << threads;
+    }
+  }
+  EXPECT_GE(records, 10000u);
 }
 
 }  // namespace

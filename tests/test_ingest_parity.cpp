@@ -1,7 +1,9 @@
-// Serial vs parallel ingest parity on a real simulated trace: for all
-// four log types the mmap engine must produce element-wise identical
-// records at every thread count, identical parse.* metric deltas, and —
-// on corrupted input — the identical error the serial reader throws.
+// Ingest parity on a real simulated trace: for all four log types the
+// mmap engine must produce, at every thread count, the records that were
+// written (the write_csv → read_csv round trip) with identical parse.*
+// metric deltas, and — on corrupted input — the error and counters of
+// the line-oriented util::CsvReader, kept as an independent serial
+// oracle.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,9 @@
 #include "raslog/event.hpp"
 #include "sim/simulator.hpp"
 #include "tasklog/task.hpp"
+#include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace failmine {
 namespace {
@@ -83,20 +87,16 @@ std::string* IngestParity::dir_ = nullptr;
 sim::SimResult* IngestParity::trace_ = nullptr;
 topology::MachineConfig* IngestParity::machine_ = nullptr;
 
-/// Loads one log serially and through the mmap engine at 1, 2 and 8
-/// threads, asserting identical record sequences and parse.* deltas.
-/// `load` is `Records(const ingest::LoadOptions&, ingest::Engine)`.
-template <class LoadFn>
-void expect_parity(const char* records_counter, LoadFn&& load) {
-  ParseDeltas before = ParseDeltas::snap(records_counter);
-  const auto serial =
-      load(ingest::LoadOptions{}, ingest::Engine::kSerial);
-  const ParseDeltas serial_delta =
-      ParseDeltas::snap(records_counter).since(before);
-
+/// Loads one log through the mmap engine at 1, 2 and 8 threads,
+/// asserting the serial reference's record sequence and one parse.*
+/// count per record. `load` is `Records(const ingest::LoadOptions&)`.
+template <class Records, class LoadFn>
+void expect_parity(const char* records_counter, const Records& serial,
+                   LoadFn&& load) {
+  const ParseDeltas serial_delta{serial.size(), 0, serial.size()};
   for (unsigned threads : {1u, 2u, 8u}) {
-    before = ParseDeltas::snap(records_counter);
-    const auto parallel = load(mapped_options(threads), ingest::Engine::kMapped);
+    const ParseDeltas before = ParseDeltas::snap(records_counter);
+    const auto parallel = load(mapped_options(threads));
     const ParseDeltas delta = ParseDeltas::snap(records_counter).since(before);
     ASSERT_EQ(parallel.size(), serial.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < serial.size(); ++i)
@@ -107,33 +107,41 @@ void expect_parity(const char* records_counter, LoadFn&& load) {
 }
 
 TEST_F(IngestParity, RasLogMatchesSerial) {
-  expect_parity("parse.raslog.records",
-                [](const ingest::LoadOptions& o, ingest::Engine e) {
-                  return raslog::RasLog::read_csv(path("ras.csv"), *machine_, o,
-                                                  e)
+  expect_parity("parse.raslog.records", trace_->ras_log.events(),
+                [](const ingest::LoadOptions& o) {
+                  return raslog::RasLog::read_csv(path("ras.csv"), *machine_, o)
                       .events();
                 });
 }
 
 TEST_F(IngestParity, JobLogMatchesSerial) {
-  expect_parity("parse.joblog.records",
-                [](const ingest::LoadOptions& o, ingest::Engine e) {
-                  return joblog::JobLog::read_csv(path("jobs.csv"), o, e).jobs();
+  expect_parity("parse.joblog.records", trace_->job_log.jobs(),
+                [](const ingest::LoadOptions& o) {
+                  return joblog::JobLog::read_csv(path("jobs.csv"), o).jobs();
                 });
 }
 
 TEST_F(IngestParity, TaskLogMatchesSerial) {
-  expect_parity("parse.tasklog.records",
-                [](const ingest::LoadOptions& o, ingest::Engine e) {
-                  return tasklog::TaskLog::read_csv(path("tasks.csv"), o, e)
+  expect_parity("parse.tasklog.records", trace_->task_log.tasks(),
+                [](const ingest::LoadOptions& o) {
+                  return tasklog::TaskLog::read_csv(path("tasks.csv"), o)
                       .tasks();
                 });
 }
 
 TEST_F(IngestParity, IoLogMatchesSerial) {
-  expect_parity("parse.iolog.records",
-                [](const ingest::LoadOptions& o, ingest::Engine e) {
-                  return iolog::IoLog::read_csv(path("io.csv"), o, e).records();
+  // The CSV schema stores I/O times at millisecond precision, so the
+  // written records are the trace's with both times rounded that way.
+  std::vector<iolog::IoRecord> written = trace_->io_log.records();
+  for (auto& r : written) {
+    r.read_time_seconds =
+        util::parse_double(util::format_double(r.read_time_seconds, 3));
+    r.write_time_seconds =
+        util::parse_double(util::format_double(r.write_time_seconds, 3));
+  }
+  expect_parity("parse.iolog.records", written,
+                [](const ingest::LoadOptions& o) {
+                  return iolog::IoLog::read_csv(path("io.csv"), o).records();
                 });
 }
 
@@ -141,12 +149,8 @@ TEST_F(IngestParity, StreamFallbackMatchesMapped) {
   ingest::LoadOptions mapped = mapped_options(4);
   ingest::LoadOptions streamed = mapped;
   streamed.force_stream = true;
-  EXPECT_EQ(joblog::JobLog::read_csv(path("jobs.csv"), mapped,
-                                     ingest::Engine::kMapped)
-                .jobs(),
-            joblog::JobLog::read_csv(path("jobs.csv"), streamed,
-                                     ingest::Engine::kMapped)
-                .jobs());
+  EXPECT_EQ(joblog::JobLog::read_csv(path("jobs.csv"), mapped).jobs(),
+            joblog::JobLog::read_csv(path("jobs.csv"), streamed).jobs());
 }
 
 TEST_F(IngestParity, LoadDatasetDefaultsToIngestEngine) {
@@ -164,30 +168,35 @@ TEST_F(IngestParity, LoadDatasetDefaultsToIngestEngine) {
 
 TEST_F(IngestParity, CorruptedRowFailsIdenticallyToSerial) {
   // Append a malformed row (wrong arity) to a copy of the job log; the
-  // parallel engine must reject it with the serial reader's exact
-  // message and metric deltas.
+  // engine must reject it with the CsvReader oracle's exact message and
+  // counters, plus one records count per good row before it.
   const std::string corrupted = *dir_ + "/jobs_corrupted.csv";
   std::filesystem::copy_file(path("jobs.csv"), corrupted,
                              std::filesystem::copy_options::overwrite_existing);
   { std::ofstream(corrupted, std::ios::app) << "999,bad,row\n"; }
 
   std::string serial_error;
+  std::size_t good_rows = 0;
   ParseDeltas before = ParseDeltas::snap("parse.joblog.records");
   try {
-    joblog::JobLog::read_csv(corrupted, {}, ingest::Engine::kSerial);
+    util::CsvReader reader(corrupted);
+    std::vector<std::string> row;
+    while (reader.next(row)) ++good_rows;
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     serial_error = e.what();
   }
-  const ParseDeltas serial_delta =
+  ParseDeltas serial_delta =
       ParseDeltas::snap("parse.joblog.records").since(before);
+  EXPECT_EQ(good_rows, trace_->job_log.size());
+  EXPECT_EQ(serial_delta.lines_total, good_rows + 1);
   EXPECT_EQ(serial_delta.lines_rejected, 1u);
+  serial_delta.records = good_rows;
 
   for (unsigned threads : {1u, 2u, 8u}) {
     before = ParseDeltas::snap("parse.joblog.records");
     try {
-      joblog::JobLog::read_csv(corrupted, mapped_options(threads),
-                               ingest::Engine::kMapped);
+      joblog::JobLog::read_csv(corrupted, mapped_options(threads));
       FAIL() << "expected ParseError (threads=" << threads << ")";
     } catch (const ParseError& e) {
       EXPECT_EQ(std::string(e.what()), serial_error)
@@ -198,6 +207,33 @@ TEST_F(IngestParity, CorruptedRowFailsIdenticallyToSerial) {
         << "threads=" << threads;
   }
   std::filesystem::remove(corrupted);
+}
+
+TEST_F(IngestParity, QuotedNewlinesLoadAtEveryThreadCount) {
+  // RFC 4180 lets a quoted field hold a line break. The engine has
+  // always accepted one at N threads; with no separate serial reader,
+  // one thread and the streaming for_each_csv accept it too.
+  std::vector<raslog::RasEvent> events(trace_->ras_log.events().begin(),
+                                       trace_->ras_log.events().begin() + 50);
+  for (std::size_t i = 0; i < events.size(); i += 3)
+    events[i].text = "first line\nsecond, \"quoted\" line";
+  const raslog::RasLog log(events);
+  const std::string file = *dir_ + "/ras_multiline.csv";
+  log.write_csv(file);
+  for (unsigned threads : {1u, 2u, 8u})
+    EXPECT_EQ(raslog::RasLog::read_csv(file, *machine_,
+                                       mapped_options(threads))
+                  .events(),
+              log.events())
+        << "threads=" << threads;
+  std::vector<raslog::RasEvent> streamed;
+  raslog::RasLog::for_each_csv(file, *machine_,
+                               [&](const raslog::RasEvent& e) {
+                                 streamed.push_back(e);
+                                 return true;
+                               });
+  EXPECT_EQ(streamed, log.events());
+  std::filesystem::remove(file);
 }
 
 }  // namespace

@@ -52,20 +52,24 @@ TEST_P(ClassifyExit, MapsToExpectedClass) {
             c.expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Table, ClassifyExit,
-    ::testing::Values(
-        ClassifyCase{0, 0, false, false, false, ExitClass::kSuccess},
-        ClassifyCase{1, 0, false, false, false, ExitClass::kUserAppError},
-        ClassifyCase{17, 11, false, false, false, ExitClass::kUserAppError},
-        ClassifyCase{125, 0, false, false, false, ExitClass::kUserConfigError},
-        ClassifyCase{127, 0, false, false, false, ExitClass::kUserConfigError},
-        ClassifyCase{0, 15, false, false, false, ExitClass::kUserKill},
-        ClassifyCase{0, 2, false, false, false, ExitClass::kUserKill},
-        ClassifyCase{24, 9, false, false, false, ExitClass::kWalltimeLimit},
-        ClassifyCase{139, 7, true, false, false, ExitClass::kSystemHardware},
-        ClassifyCase{135, 11, true, false, true, ExitClass::kSystemSoftware},
-        ClassifyCase{135, 11, true, true, false, ExitClass::kSystemIo}));
+// gtest prints the raw bytes of each case into its test name. Static
+// storage zero-fills the padding byte after `software`, which would
+// otherwise hold whatever the stack did and change the name run to run.
+const ClassifyCase kClassifyCases[] = {
+    ClassifyCase{0, 0, false, false, false, ExitClass::kSuccess},
+    ClassifyCase{1, 0, false, false, false, ExitClass::kUserAppError},
+    ClassifyCase{17, 11, false, false, false, ExitClass::kUserAppError},
+    ClassifyCase{125, 0, false, false, false, ExitClass::kUserConfigError},
+    ClassifyCase{127, 0, false, false, false, ExitClass::kUserConfigError},
+    ClassifyCase{0, 15, false, false, false, ExitClass::kUserKill},
+    ClassifyCase{0, 2, false, false, false, ExitClass::kUserKill},
+    ClassifyCase{24, 9, false, false, false, ExitClass::kWalltimeLimit},
+    ClassifyCase{139, 7, true, false, false, ExitClass::kSystemHardware},
+    ClassifyCase{135, 11, true, false, true, ExitClass::kSystemSoftware},
+        ClassifyCase{135, 11, true, true, false, ExitClass::kSystemIo}};
+
+INSTANTIATE_TEST_SUITE_P(Table, ClassifyExit,
+                         ::testing::ValuesIn(kClassifyCases));
 
 JobRecord make_job(std::uint64_t id, util::UnixSeconds start,
                    util::UnixSeconds end, std::uint32_t nodes = 512) {

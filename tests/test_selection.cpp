@@ -70,6 +70,12 @@ struct SelectionCase {
   std::vector<const char*> accepted;
 };
 
+// Print a case by its family: the default byte dump would put the
+// string-literal addresses, which change run to run, into the test name.
+void PrintTo(const SelectionCase& c, std::ostream* os) {
+  *os << c.true_family;
+}
+
 class SelectBestIdentifiesFamily
     : public ::testing::TestWithParam<SelectionCase> {};
 
